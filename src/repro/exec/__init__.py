@@ -10,15 +10,16 @@ Quickstart::
 
     from repro.exec import set_backend, use_backend
 
-    set_backend("fused")            # process-wide
-    with use_backend("generic"):    # scoped
+    set_backend("generic")          # process-wide
+    with use_backend("fused"):      # scoped
         ...
 
-    # or per process, before the first operation:
-    #   REPRO_EXEC_BACKEND=fused python ...
+    # or per process, before the first operation (``fused`` when unset;
+    # ``generic`` selects the reference oracle):
+    #   REPRO_EXEC_BACKEND=generic python ...
 
 Both backends produce bitwise identical results; ``fused`` is the fast
-one.  ``register_backend`` accepts new factories (e.g. a
+one and the default.  ``register_backend`` accepts new factories (e.g. a
 ``FusedBackend(xp=cupy)``) for array modules that turn the simulated
 kernel launches into real device launches.
 """

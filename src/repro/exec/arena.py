@@ -7,7 +7,10 @@ those buffers: it keeps one pool per ``(dtype, shape)`` key and hands
 buffers out in stack (frame) discipline — a kernel marks the arena on
 entry, takes what it needs, and releases back to the mark on exit, so
 the same few cache-resident buffers serve every operation of a given
-shape for the lifetime of the backend.
+shape.  Per-launch-shape *bundles* live in a bounded LRU: once their
+owned bytes pass :data:`BUNDLE_BUDGET_BYTES` the least recently used
+shapes are dropped, so a workload that sweeps thousands of launch
+shapes keeps only its hot working set resident.
 
 Buffers come from ``xp.empty`` (contents are garbage until written);
 kernels must fully define every element they read.  The arena is the
@@ -21,10 +24,17 @@ backend instance never hand each other in-use scratch.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["ScratchArena"]
+__all__ = ["BUNDLE_BUDGET_BYTES", "ScratchArena"]
+
+#: Per-thread byte budget of the bundle cache, counting only arrays
+#: that own their memory.  Small enough to stay cache-sized; the hot
+#: launch shapes of a kernel sequence fit, a long sweep of one-off
+#: shapes cycles through it instead of growing the resident set.
+BUNDLE_BUDGET_BYTES = 256 * 1024
 
 
 class ScratchArena:
@@ -46,7 +56,14 @@ class ScratchArena:
     def _state(self):
         state = getattr(self._local, "state", None)
         if state is None:
-            state = {"pools": {}, "log": [], "allocated": 0, "reused": 0}
+            state = {
+                "pools": {},
+                "log": [],
+                "allocated": 0,
+                "reused": 0,
+                "bundles": OrderedDict(),
+                "bundle_bytes": 0,
+            }
             self._local.state = state
         return state
 
@@ -102,9 +119,9 @@ class ScratchArena:
 
         ``key`` identifies a (kernel, launch configuration) pair and
         ``shapes`` the buffers that kernel needs; the first call
-        allocates them, every later call returns the same tuple — one
-        dict probe instead of one :meth:`take` per buffer, which is
-        what keeps small fused launches cheaper than allocator churn.
+        allocates them, later calls return the same tuple — one dict
+        probe instead of one :meth:`take` per buffer, which is what
+        keeps small fused launches cheaper than allocator churn.
         Alternatively ``build`` is a callable ``build(xp) -> tuple``
         producing the cached value — used by kernels that also want
         derived structures (pre-sliced row views) amortized into the
@@ -112,20 +129,34 @@ class ScratchArena:
         must not re-enter itself (directly or mutually) with the same
         key while its bundle is live.  Bundles are thread-local like
         the pools.
+
+        The cache is an LRU bounded by :data:`BUNDLE_BUDGET_BYTES` of
+        owned memory (views into a bundle's own arrays are free).  A
+        bundle larger than the whole budget is handed out uncached.  An
+        evicted bundle stays valid for a caller still holding it; the
+        next call with its key allocates afresh.
         """
         state = self._state()
-        bundles = state.setdefault("bundles", {})
-        bufs = bundles.get(key)
-        if bufs is None:
-            if build is not None:
-                bufs = build(self.xp)
-            else:
-                dt = np.dtype(dtype)
-                bufs = tuple(self.xp.empty(s, dtype=dt) for s in shapes)
-            bundles[key] = bufs
-            state["allocated"] += len(bufs)
-        else:
+        bundles = state["bundles"]
+        entry = bundles.get(key)
+        if entry is not None:
+            bundles.move_to_end(key)
+            bufs = entry[0]
             state["reused"] += len(bufs)
+            return bufs
+        if build is not None:
+            bufs = build(self.xp)
+        else:
+            dt = np.dtype(dtype)
+            bufs = tuple(self.xp.empty(s, dtype=dt) for s in shapes)
+        state["allocated"] += len(bufs)
+        nbytes = sum(buf.nbytes for buf in bufs if buf.base is None)
+        if nbytes <= BUNDLE_BUDGET_BYTES:
+            total = state["bundle_bytes"] + nbytes
+            while total > BUNDLE_BUDGET_BYTES:
+                total -= bundles.popitem(last=False)[1][1]
+            bundles[key] = (bufs, nbytes)
+            state["bundle_bytes"] = total
         return bufs
 
     # ------------------------------------------------------------------
@@ -133,14 +164,16 @@ class ScratchArena:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> dict:
-        """Allocation counters for this thread: fresh vs pool hits."""
+        """Allocation counters for this thread: fresh vs pool hits, and
+        the bundle cache's entry count and owned bytes."""
         state = self._state()
         return {
             "allocated": state["allocated"],
             "reused": state["reused"],
             "pooled_buffers": sum(len(p) for p in state["pools"].values()),
             "in_use": len(state["log"]),
-            "bundles": len(state.get("bundles", {})),
+            "bundles": len(state["bundles"]),
+            "bundle_bytes": state["bundle_bytes"],
         }
 
 

@@ -7,15 +7,16 @@ limb-major storage — a ``(m,) + shape`` float64 ndarray whose slice
 fresh ``(m,) + broadcast_shape`` stack.  Two implementations ship:
 
 * ``generic`` (:class:`repro.exec.generic.GenericBackend`) — the
-  reference.  It calls the limb-tuple arithmetic of
-  :mod:`repro.md.generic` exactly as ``MDArray`` always has, one NumPy
-  micro-op and one fresh temporary per EFT step.
+  reference and the oracle of the bit-identity tests.  It calls the
+  limb-tuple arithmetic of :mod:`repro.md.generic` exactly as
+  ``MDArray`` always has, one NumPy micro-op and one fresh temporary
+  per EFT step.
 * ``fused`` (:class:`repro.exec.fused.FusedBackend`) — the same float
   operation sequence (same EFT formulas, same renormalization chains,
   so results are **bitwise identical**) executed as fused array kernels:
   ``out=`` into a scratch-buffer arena, whole ``(k,) + shape`` workspace
   stacks for the renormalization passes, and stacked limb-parallel EFTs
-  where the data dependencies allow it.
+  where the data dependencies allow it.  It is the process default.
 
 The boundary is shaped for the paper's hardware story: a backend holds
 the array-module handle ``xp``, and every kernel allocates through it.
@@ -26,7 +27,9 @@ traces) is backend-independent by construction.
 
 Selection: :func:`get_backend` / :func:`set_backend` /
 :func:`use_backend`, with the ``REPRO_EXEC_BACKEND`` environment
-variable choosing the process-wide default (read once, at first use).
+variable choosing the process-wide default (read once, at first use;
+``fused`` when unset, ``REPRO_EXEC_BACKEND=generic`` selects the
+reference).
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ __all__ = [
 
 #: Environment variable naming the default backend ("generic"/"fused").
 ENV_VAR = "REPRO_EXEC_BACKEND"
+
+#: The backend used when ``REPRO_EXEC_BACKEND`` is unset.
+DEFAULT_BACKEND = "fused"
 
 
 class ExecutionBackend:
@@ -186,7 +192,7 @@ def get_backend() -> ExecutionBackend:
     """The active execution backend.
 
     On first use the process default is taken from ``REPRO_EXEC_BACKEND``
-    (falling back to ``generic``); afterwards :func:`set_backend` and
+    (falling back to ``fused``); afterwards :func:`set_backend` and
     :func:`use_backend` control it.
     """
     global _active
@@ -194,7 +200,7 @@ def get_backend() -> ExecutionBackend:
     if backend is None:
         with _lock:
             if _active is None:
-                _active = _instantiate(os.environ.get(ENV_VAR, "generic"))
+                _active = _instantiate(os.environ.get(ENV_VAR, DEFAULT_BACKEND))
             backend = _active
     return backend
 

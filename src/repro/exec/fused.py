@@ -24,9 +24,10 @@ change how the work is issued:
 * the renormalization runs in place on one term-major workspace stack:
   the sequential head chain ``s_i = fl(a_i + s_{i+1})`` is the only
   data-dependent part of :func:`repro.md.renorm.vecsum`, so the chain
-  runs as ``n-1`` adds and the error terms — each depending only on
+  runs as one ``np.add.accumulate`` on narrow planes (one add per term
+  on wide ones) and the error terms — each depending only on
   ``(a_i, s_i, s_{i+1})`` — follow as five stacked ufuncs (no value
-  change);
+  change; see ``FusedBackend._vecsum_window`` for operand order);
 * launch *configuration* that depends only on sizes — pairwise
   reduction halves, Cauchy anti-diagonal gather indices — is resolved
   to views / cached index arrays instead of being recomputed and
@@ -56,6 +57,7 @@ __all__ = ["FusedBackend"]
 # module-level ufunc handles: skips one attribute lookup per micro-op,
 # which is measurable at the small launch shapes of the QR tiles
 _add = np.add
+_accumulate = np.add.accumulate
 _sub = np.subtract
 _mul = np.multiply
 _div = np.divide
@@ -175,6 +177,13 @@ def _antidiagonal_index(terms):
 # micro-op
 _TILE = 32768
 _TILE_MIN = 65536
+
+# head chain: np.add.accumulate walks each lane's chain on its own
+# (a strided scalar loop, a few ns per element), while one np.add per
+# term runs all lanes at SIMD speed but pays a ~1 us call; measured on
+# window lengths 5-73 the running sum wins below about 200 lanes per
+# plane and the per-term loop above
+_ACCUMULATE_MAX_PLANE = 192
 
 
 class FusedBackend(GenericBackend):
@@ -383,14 +392,22 @@ class FusedBackend(GenericBackend):
     def _vecsum_window(self, work, lo, hi, chain, bb, t1, t2):
         """One :func:`~repro.md.renorm.vecsum` pass over ``work[lo:hi]``.
 
-        The head chain is sequential (each sum feeds the next); the
-        error terms depend only on chain values already computed, so
-        they run as five stacked ufuncs over the whole window.
+        The head chain ``s_k = fl(a_k + s_{k+1})`` is sequential (each
+        sum feeds the next).  On narrow planes it runs as one running
+        sum over the reversed window — the accumulate adds ``s + a``
+        where the reference adds ``a + s``, which IEEE addition makes
+        the same float (up to the payload of a NaN + NaN sum) — and on
+        wide planes as one add per term.  The error terms depend only
+        on chain values already computed, so they run as five stacked
+        ufuncs over the whole window.
         """
         length = hi - lo  # >= 2
-        chain[length - 1] = work[hi - 1]
-        for k in range(length - 2, -1, -1):
-            _add(work[lo + k], chain[k + 1], out=chain[k])
+        if work[0].size <= _ACCUMULATE_MAX_PLANE:
+            _accumulate(work[lo:hi][::-1], axis=0, out=chain[:length][::-1])
+        else:
+            chain[length - 1] = work[hi - 1]
+            for k in range(length - 2, -1, -1):
+                _add(work[lo + k], chain[k + 1], out=chain[k])
         terms = work[lo : hi - 1]
         heads = chain[: length - 1]
         prev = chain[1:length]  # the running sum each term was added to

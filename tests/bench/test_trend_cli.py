@@ -22,7 +22,9 @@ trend = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(trend)
 
 
-def write_run(bench_dir: Path, run: int, seconds: float) -> None:
+def write_run(
+    bench_dir: Path, run: int, seconds: float, backend: str = "generic"
+) -> None:
     """One simulated CI run's BENCH_demo.json snapshot."""
     stamp = f"2026-08-{run:02d}T00:00:00Z"
     payload = {
@@ -30,7 +32,7 @@ def write_run(bench_dir: Path, run: int, seconds: float) -> None:
         "git_sha": f"{run:040x}",
         "python": "3.11.7",
         "updated": stamp,
-        "environment": {"exec_backend": "generic"},
+        "environment": {"exec_backend": backend},
         "entries": {
             "case": {
                 "seconds": seconds,
@@ -92,6 +94,28 @@ def test_synthetic_slowdown_fails_the_gate(tmp_path, capsys):
     # without the gate flag the same state only reports
     assert trend.main(["--store", str(store), "--bench-dir", str(bench_dir)]) == 0
     capsys.readouterr()
+
+
+def test_backend_switch_starts_a_new_series(tmp_path, capsys):
+    """A run stamped with another execution backend is judged against its
+    own (empty) history, never against the other backend's: the default
+    backend changing under the baselines cannot trip the gate."""
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    store = tmp_path / "store.jsonl"
+    base = ["--store", str(store), "--bench-dir", str(bench_dir), "--fail-on-regress"]
+    for run in range(1, 4):
+        write_run(bench_dir, run, seconds=1.0, backend="generic")
+        assert trend.main(base) == 0
+    capsys.readouterr()
+
+    write_run(bench_dir, 4, seconds=2.0, backend="fused")
+    assert trend.main(base) == 0
+    out = capsys.readouterr().out
+    assert "0 regress" in out
+    fused_rows = [line for line in out.splitlines() if " fused " in line]
+    assert fused_rows
+    assert all("insufficient_history" in line for line in fused_rows)
 
 
 def test_threshold_flags_reach_the_judge(tmp_path, capsys):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.exec.arena as arena_module
 import repro.exec.backend as backend_module
 from repro.exec import (
     ENV_VAR,
@@ -22,6 +23,7 @@ from repro.exec import (
     set_backend,
     use_backend,
 )
+from repro.exec.arena import BUNDLE_BUDGET_BYTES
 
 
 @pytest.fixture
@@ -38,11 +40,11 @@ def test_builtin_backends_registered():
     assert "fused" in names
 
 
-def test_default_backend_is_generic(restore_backend, monkeypatch):
+def test_default_backend_is_fused(restore_backend, monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
     backend_module._active = None
-    assert get_backend().name == "generic"
-    assert isinstance(get_backend(), GenericBackend)
+    assert get_backend().name == "fused"
+    assert isinstance(get_backend(), FusedBackend)
 
 
 def test_env_var_selects_backend(restore_backend, monkeypatch):
@@ -51,6 +53,14 @@ def test_env_var_selects_backend(restore_backend, monkeypatch):
     backend = get_backend()
     assert backend.name == "fused"
     assert isinstance(backend, FusedBackend)
+
+
+def test_env_var_selects_generic_oracle(restore_backend, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "generic")
+    backend_module._active = None
+    backend = get_backend()
+    assert backend.name == "generic"
+    assert type(backend) is GenericBackend
 
 
 def test_env_var_unknown_name_raises(restore_backend, monkeypatch):
@@ -120,3 +130,65 @@ def test_arena_stats_report_bundle_reuse():
     assert stats["allocated"] == allocated  # second launch reuses
     assert stats["reused"] > 0
     assert stats["bundles"] > 0
+
+
+def test_arena_bundle_bytes_stay_within_budget(rng):
+    backend = FusedBackend()
+    for width in range(1, 241):  # one dd launch shape per width
+        x = rng.standard_normal((2, width))
+        x[1] *= 2.0**-53
+        backend.mul(x, x)
+    stats = backend.arena.stats
+    assert 0 < stats["bundle_bytes"] <= BUNDLE_BUDGET_BYTES
+    assert stats["bundles"] < 240  # older shapes were evicted
+
+    # the most recent shape is still cached: relaunching it allocates nothing
+    x = rng.standard_normal((2, 240))
+    allocated = stats["allocated"]
+    backend.mul(x, x)
+    assert backend.arena.stats["allocated"] == allocated
+
+
+def test_arena_oversize_bundle_is_not_cached():
+    backend = FusedBackend()
+    arena = backend.arena
+    width = BUNDLE_BUDGET_BYTES // 8 + 1
+    first = arena.bundle(("probe", width), ((width,),))
+    second = arena.bundle(("probe", width), ((width,),))
+    assert first[0] is not second[0]
+    assert arena.stats["bundle_bytes"] == 0
+
+
+def test_arena_bundle_views_are_not_counted():
+    arena = FusedBackend().arena
+
+    def build(xp):
+        stack = xp.empty((2, 16))
+        return stack, stack[0], stack[1]
+
+    arena.bundle(("views",), build=build)
+    assert arena.stats["bundle_bytes"] == 2 * 16 * 8
+
+
+def test_arena_eviction_mid_kernel_keeps_results_exact(rng, monkeypatch):
+    """A budget that holds only a few bundles: the nested launches of a
+    division or square root evict the outer kernel's bundle while it is
+    still in use, and the kernel must keep computing on it and match
+    the reference bit for bit."""
+    budget = 2048
+    monkeypatch.setattr(arena_module, "BUNDLE_BUDGET_BYTES", budget)
+    fused, generic = FusedBackend(), GenericBackend()
+    for limbs in (2, 4, 8):
+        x = rng.standard_normal((limbs, 3))
+        y = rng.standard_normal((limbs, 3))
+        for k in range(1, limbs):
+            x[k] = x[k - 1] * 2.0**-53
+            y[k] = y[k - 1] * 2.0**-53
+        positive = np.abs(x)
+        for _ in range(2):  # the second round re-allocates evicted bundles
+            allocated = fused.arena.stats["allocated"]
+            assert np.array_equal(fused.div(x, y), generic.div(x, y))
+            assert np.array_equal(fused.sqrt(positive), generic.sqrt(positive))
+            assert np.array_equal(fused.fma(x, y, x), generic.fma(x, y, x))
+            assert fused.arena.stats["allocated"] > allocated
+            assert fused.arena.stats["bundle_bytes"] <= budget

@@ -174,3 +174,94 @@ class TestArrayLayer:
         assert_identical(out.real.data, ref_real)
         assert_identical(out.imag.data, ref_imag)
         assert_identical(out_abs, ref_abs)
+
+
+# ---------------------------------------------------------------------------
+# the head chain as one running sum, on hostile inputs
+# ---------------------------------------------------------------------------
+# On narrow planes the fused vecsum runs the head chain
+# s_k = fl(a_k + s_{k+1}) as one np.add.accumulate over the reversed
+# window (wide planes keep one add per term), so it adds s + a where the
+# reference adds a + s.  IEEE addition is commutative bit for bit, signed
+# zeros and infinities included, so every non-NaN limb must match,
+# sign of zero too.  Only when both operands are NaN may the result
+# differ, and then only in the NaN payload and sign (the hardware
+# propagates one of its operands); that is why NaN lanes are compared as
+# "NaN in both" and excluded from the signbit check.
+
+def hostile_planes(rng, n, width=24):
+    """``n`` overlapping term planes whose lanes hit the edge cases of
+    the distillation: signed zeros, infinities, NaN, subnormals and
+    exactly cancelling pairs (which make a head round to exact zero and
+    send the renormalization through its zero-bubbling passes)."""
+    planes = rng.standard_normal((n, width))
+    for k in range(1, n):
+        planes[k] *= 2.0 ** (-30 * k)
+    planes[:, 0] = 0.0
+    planes[:, 1] = -0.0
+    planes[::2, 2] = -0.0
+    planes[1::2, 2] = 0.0
+    planes[0, 3] = np.inf
+    planes[n // 2, 4] = -np.inf
+    planes[-1, 5] = np.nan
+    planes[:, 6] = 5e-324 * rng.integers(-9, 10, size=n)
+    planes[0, 7] = np.inf
+    planes[-1, 7] = -np.inf
+    # exactly cancelling pairs: leading pair, trailing pair, and a lane
+    # that cancels down to a subnormal remainder
+    planes[1, 8] = -planes[0, 8]
+    planes[-1, 9] = -planes[-2, 9]
+    planes[:, 10] = 0.0
+    planes[0, 10], planes[1, 10] = 1.0, -1.0
+    planes[-1, 10] = 1e-310
+    planes[1, 11:] = -planes[0, 11:]
+    return planes
+
+
+def assert_limbwise_identical(result, reference):
+    """Bitwise equality on non-NaN limbs (sign of zero included) and NaN
+    in exactly the same places."""
+    __tracebackhide__ = True
+    assert result.shape == reference.shape
+    nan = np.isnan(result)
+    assert np.array_equal(nan, np.isnan(reference))
+    assert np.array_equal(result[~nan], reference[~nan])
+    assert np.array_equal(np.signbit(result[~nan]), np.signbit(reference[~nan]))
+
+
+class TestAccumulateChain:
+    """Fused renormalize / mul against :mod:`repro.md` limb for limb,
+    over every vecsum window length from 2 to 73 (an od product)."""
+
+    @pytest.mark.parametrize("width", [24, 300], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("n", range(2, 74))
+    def test_renormalize_window_lengths(self, rng, n, width):
+        from repro.md.renorm import renormalize
+
+        fused = FusedBackend()
+        planes = hostile_planes(rng, n, width)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for m in (2, 4, 8):
+                result = fused.renormalize(list(planes), m)
+                reference = np.stack(renormalize(list(planes), m))
+                assert_limbwise_identical(result, reference)
+
+    def test_cancelling_pairs_reach_zero_bubbling(self, rng):
+        fused = FusedBackend()
+        with np.errstate(invalid="ignore", over="ignore"):
+            fused.renormalize(list(hostile_planes(rng, 12)), 4)
+        bundles = fused.arena._state()["bundles"]
+        assert any(key[0] == "renorm_mask" for key in bundles)
+
+    @pytest.mark.parametrize("width", [24, 300], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("limbs", [2, 3, 4, 8])
+    def test_mul(self, rng, limbs, width):
+        from repro.md import generic as mdgeneric
+
+        fused = FusedBackend()
+        x = hostile_planes(rng, limbs, width)
+        y = hostile_planes(rng, limbs, width)[:, ::-1].copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = fused.mul(x, y)
+            reference = np.stack(mdgeneric.mul(tuple(x), tuple(y), limbs))
+        assert_limbwise_identical(result, reference)
