@@ -31,7 +31,19 @@ change how the work is issued:
 * launch *configuration* that depends only on sizes — pairwise
   reduction halves, Cauchy anti-diagonal gather indices — is resolved
   to views / cached index arrays instead of being recomputed and
-  copied per call (no value change).
+  copied per call (no value change);
+* a *one-element* launch (every operand a 0-d element shape, such as
+  a Householder norm's square root or ``beta = 2 / v^T v``) runs the
+  :mod:`repro.md.generic` kernel itself on the limbs as Python floats:
+  Python floats are IEEE binary64 with round-to-nearest and no FMA
+  contraction, so the result is the same bits at a fraction of the
+  hundreds of single-lane ufunc calls the array kernel would issue.
+  The launch falls back to the array kernel whenever a Python float
+  operation raises (a zero divisor, the square root of a negative) or
+  an operand or result limb is not finite — where NumPy's default
+  floating-point error handling (``np.errstate``) would warn — so IEEE
+  non-stop results and their warnings stay the array kernel's (no
+  value change).
 
 The oracle for all of this is the existing bit-identity suite: the
 vectorized-vs-scalar-reference tests plus ``tests/exec`` compare the
@@ -48,6 +60,7 @@ import math
 
 import numpy as np
 
+from ..md import generic as mdgeneric
 from ..md.eft import SPLITTER
 from ..md.renorm import GUARD_LIMBS
 from .generic import GenericBackend
@@ -66,6 +79,13 @@ _eq = np.equal
 _sqrt = np.sqrt
 _copyto = np.copyto
 _empty = np.empty
+_isfinite = math.isfinite
+
+#: Python float operations raise where IEEE non-stop arithmetic returns
+#: inf/NaN: a zero divisor, ``math.sqrt`` of a negative, an overflowing
+#: conversion.  A one-element launch that hits one reruns on the array
+#: kernel, which produces the IEEE result under NumPy's error handling.
+_HOST_FLOAT_FAULTS = (ZeroDivisionError, ValueError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +221,8 @@ class FusedBackend(GenericBackend):
         return stack.reshape((stack.shape[0], 1)) if stack.ndim == 1 else stack
 
     def _run_broadcast(self, into, operands, m):
-        """Slow path: mixed element shapes or 0-d operands."""
+        """Slow path: mixed element shapes, or a one-element launch the
+        host floats handed back."""
         shape = np.broadcast_shapes(*(op.shape[1:] for op in operands))
         normed = tuple(self._norm(op) for op in operands)
         if not shape:
@@ -258,61 +279,60 @@ class FusedBackend(GenericBackend):
         into(*operands, m, out)
         return out
 
+    def _launch(self, into, kernel, operands, m):
+        """Dispatch one limb op by its operands' element shapes."""
+        shape = operands[0].shape[1:]
+        for op in operands[1:]:
+            if op.shape[1:] != shape:
+                return self._run_broadcast(into, operands, m)
+        if shape:
+            return self._run_elementwise(into, operands, m, shape)
+        out = self._run_host_floats(kernel, operands, m)
+        return self._run_broadcast(into, operands, m) if out is None else out
+
+    @staticmethod
+    def _run_host_floats(kernel, operands, m):
+        """One-element launch: the :mod:`repro.md.generic` kernel on
+        Python floats, or ``None`` where the array kernel must run."""
+        limbs = [op.tolist() for op in operands]
+        for values in limbs:
+            if not all(map(_isfinite, values)):
+                return None
+        try:
+            result = kernel(*map(tuple, limbs), m)
+        except _HOST_FLOAT_FAULTS:
+            return None
+        if not all(map(_isfinite, result)):
+            return None
+        return np.array(result)
+
     def add(self, x, y, m=None):
-        if m is None:
-            m = x.shape[0]
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape:
-            return self._run_elementwise(self._add_into, (x, y), m, shape)
-        return self._run_broadcast(self._add_into, (x, y), m)
+        m = x.shape[0] if m is None else m
+        return self._launch(self._add_into, mdgeneric.add, (x, y), m)
 
     def sub(self, x, y, m=None):
-        if m is None:
-            m = x.shape[0]
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape:
-            return self._run_elementwise(self._sub_into, (x, y), m, shape)
-        return self._run_broadcast(self._sub_into, (x, y), m)
+        m = x.shape[0] if m is None else m
+        return self._launch(self._sub_into, mdgeneric.sub, (x, y), m)
 
     def mul(self, x, y, m=None):
-        if m is None:
-            m = x.shape[0]
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape:
-            return self._run_elementwise(self._mul_into, (x, y), m, shape)
-        return self._run_broadcast(self._mul_into, (x, y), m)
+        m = x.shape[0] if m is None else m
+        return self._launch(self._mul_into, mdgeneric.mul, (x, y), m)
 
     def div(self, x, y, m=None):
-        if m is None:
-            m = x.shape[0]
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape:
-            return self._run_elementwise(self._div_into, (x, y), m, shape)
-        return self._run_broadcast(self._div_into, (x, y), m)
+        m = x.shape[0] if m is None else m
+        return self._launch(self._div_into, mdgeneric.div, (x, y), m)
 
     def sqr(self, x, m=None):
-        if m is None:
-            m = x.shape[0]
-        shape = x.shape[1:]
-        if shape:
-            return self._run_elementwise(self._sqr_into, (x,), m, shape)
-        return self._run_broadcast(self._sqr_into, (x,), m)
+        m = x.shape[0] if m is None else m
+        return self._launch(self._sqr_into, mdgeneric.sqr, (x,), m)
 
     def fma(self, x, y, z, m=None):
-        if m is None:
-            m = x.shape[0]
-        shape = x.shape[1:]
-        if shape and y.shape[1:] == shape and z.shape[1:] == shape:
-            return self._run_elementwise(self._fma_into, (x, y, z), m, shape)
-        return self._run_broadcast(self._fma_into, (x, y, z), m)
+        m = x.shape[0] if m is None else m
+        return self._launch(self._fma_into, mdgeneric.fma, (x, y, z), m)
 
     def sqrt(self, x, m=None):
-        if m is None:
-            m = x.shape[0]
-        shape = x.shape[1:]
-        if shape:
-            return self._run_elementwise(self._sqrt_into, (x,), m, shape)
-        return self._run_broadcast(self._sqrt_into, (x,), m)
+        m = x.shape[0] if m is None else m
+        return self._launch(self._sqrt_into, mdgeneric.sqrt, (x,), m)
 
     def renormalize(self, limbs, m):
         limbs = [np.asarray(limb, dtype=np.float64) for limb in limbs]

@@ -104,28 +104,26 @@ def renormalize(limbs, m):
         heads.append(zero_template + 0.0)
     if len(heads) > m:
         # push exact zeros towards the tail so the guard truncation drops
-        # them instead of significant limbs
-        for _ in range(GUARD_LIMBS):
-            for i in range(len(heads) - 1):
-                heads[i], heads[i + 1] = _swap_if_zero(heads[i], heads[i + 1])
+        # them instead of significant limbs.  The swaps are exact, so the
+        # expansion's value is preserved.  The first head sums every
+        # term, so it is an array plane whenever any head is one: the
+        # limb kind is decided once for the whole sweep
+        if is_array_limb(heads[0]):
+            xp = array_module()
+            for _ in range(GUARD_LIMBS):
+                for i in range(len(heads) - 1):
+                    a, b = heads[i], heads[i + 1]
+                    is_zero = a == 0.0
+                    heads[i] = xp.where(is_zero, b, a)
+                    heads[i + 1] = xp.where(is_zero, a * 0.0, b)
+        else:
+            # scalar limbs (floats or CountingFloat)
+            for _ in range(GUARD_LIMBS):
+                for i in range(len(heads) - 1):
+                    if heads[i] == 0.0:
+                        heads[i], heads[i + 1] = heads[i + 1], heads[i]
         heads = heads[:m]
     return heads
-
-
-def _swap_if_zero(a, b):
-    """Return ``(b, a)`` where ``a`` is exactly zero, ``(a, b)`` elsewhere.
-
-    Works element-wise for NumPy array limbs and plainly for scalar
-    limbs (floats or CountingFloat).  The swap is exact — no rounding is
-    involved — so the expansion's value is preserved.
-    """
-    if is_array_limb(a) or is_array_limb(b):
-        xp = array_module()
-        is_zero = a == 0.0
-        return xp.where(is_zero, b, a), xp.where(is_zero, a * 0.0, b)
-    if a == 0.0:
-        return b, a
-    return a, b
 
 
 def renorm_ordered(limbs, m):

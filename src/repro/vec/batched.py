@@ -37,6 +37,7 @@ import numpy as np
 
 from ..md.constants import get_precision
 from .complexmd import MDComplexArray
+from .linalg import _accumulate_rank1
 from .mdarray import MDArray
 
 __all__ = [
@@ -57,12 +58,6 @@ __all__ = [
 
 def _is_complex(array) -> bool:
     return isinstance(array, MDComplexArray)
-
-
-def _zeros_like_kind(template, shape):
-    if _is_complex(template):
-        return MDComplexArray.zeros(shape, template.limbs)
-    return MDArray.zeros(shape, template.limbs)
 
 
 def stack(arrays):
@@ -141,19 +136,15 @@ def batched_matvec(matrices, vectors):
 
 def batched_matmul(a, b):
     """``C_i = A_i B_i`` over a batch, as one broadcast rank-1 update per
-    inner index (the loop structure of :func:`repro.vec.linalg.matmul`)."""
+    inner index (the loop structure of :func:`repro.vec.linalg.matmul`):
+    the products of a chunk of inner indices come from one launch and
+    the accumulation order is unchanged (the shared
+    :func:`repro.vec.linalg._accumulate_rank1`)."""
     if a.ndim != 3 or b.ndim != 3:
         raise ValueError("batched_matmul expects two (b, ·, ·) batches")
-    batch, n, k = a.shape
-    batch2, k2, p = b.shape
-    if batch != batch2 or k != k2:
+    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    result = _zeros_like_kind(a, (batch, n, p))
-    for inner in range(k):
-        col = a[:, :, inner].reshape(batch, n, 1)
-        row = b[:, inner, :].reshape(batch, 1, p)
-        result = result + col * row
-    return result
+    return _accumulate_rank1(a, b)
 
 
 def batched_dot(x, y):

@@ -11,13 +11,18 @@ performs one rank-1 style update per iteration: this mirrors the
 paper's kernels, which do not stage tiles through shared memory
 (because the high CGMA ratio of multiple double arithmetic makes the
 global loads cheap relative to the computation) but instead keep the
-running element of the product in registers.
+running element of the product in registers.  On the host the
+products of a chunk of inner indices are formed in one launch (the
+same elementwise products); the accumulation order is unchanged.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..exec.arena import BUNDLE_BUDGET_BYTES
 from ..exec.backend import get_backend
 from .complexmd import MDComplexArray, combine_product_grid
 from .mdarray import MDArray, pairwise_reduce
@@ -72,25 +77,54 @@ def matvec(matrix, vector):
     return row_products.sum(axis=1)
 
 
+def _accumulate_rank1(a, b):
+    """``C = A B`` over any leading batch axes, as one rank-1 update per
+    inner index.
+
+    The running sum starts from an explicit zero array and adds the
+    products ``a[..., :, t] b[..., t, :]`` in inner-index order, so the
+    first ``0 + p_0`` add is really executed.  The products of a chunk
+    of inner indices are formed in **one** launch,
+    ``a[..., :, lo:hi, None] * b[..., None, lo:hi, :]`` — the same
+    elementwise products one launch per index forms — and their slices
+    are then added in order.  A chunk is bounded by the product's
+    renormalization workspace, about ``limbs**2`` doubles per real
+    product, against the scratch arena's bundle budget; at the paper's
+    dimensions the chunk is one index and this is the plain loop.
+    :func:`matmul` and :func:`repro.vec.batched.batched_matmul` share
+    it, which keeps the two bit-identical by construction.
+    """
+    *lead, n, k = a.shape
+    p = b.shape[-1]
+    m = a.limbs
+    planes = 4 if _is_complex(a) or _is_complex(b) else 1  # the (2, 2) grid
+    per_index = planes * n * p * math.prod(lead)
+    chunk = max(1, BUNDLE_BUDGET_BYTES // (8 * m * m * per_index))
+    result = _zeros_like_kind(a, (*lead, n, p))
+    for lo in range(0, k, chunk):
+        hi = min(k, lo + chunk)
+        cols = a[..., lo:hi].reshape(*lead, n, hi - lo, 1)
+        rows = b[..., lo:hi, :].reshape(*lead, 1, hi - lo, p)
+        products = cols * rows
+        for t in range(hi - lo):
+            result = result + products[..., t, :]
+    return result
+
+
 def matmul(a, b):
     """Matrix-matrix product ``C = A B`` in multiple double arithmetic.
 
     Evaluated as a loop over the inner dimension with a broadcasted
     outer-product update, so every iteration is one fully vectorized
-    multiple double multiply-add over the whole output matrix.
+    multiple double add over the whole output matrix; the products of
+    a chunk of inner indices come from one launch and the accumulation
+    order is unchanged (:func:`_accumulate_rank1`).
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul expects two matrices")
-    n, k = a.shape
-    k2, p = b.shape
-    if k != k2:
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    result = _zeros_like_kind(a, (n, p))
-    for inner in range(k):
-        col = a[:, inner].reshape(n, 1)
-        row = b[inner, :].reshape(1, p)
-        result = result + col * row
-    return result
+    return _accumulate_rank1(a, b)
 
 
 def dot(x, y, conjugate: bool = False):

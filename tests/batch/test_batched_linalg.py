@@ -12,6 +12,8 @@ from repro.vec import random as mdrandom
 from repro.vec.complexmd import MDComplexArray
 from repro.vec.mdarray import MDArray
 
+from ..vec.test_linalg import assert_order_pinned, count_mul_launches, order_pin_operands
+
 BATCH = 5
 
 
@@ -76,6 +78,15 @@ class TestBatchedKernels:
             assert np.array_equal(
                 batched.data[:, i], linalg.matmul(a[i], b[i]).data
             )
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_matmul_matches_rank1_loop(self, rng, limbs, complex_data, monkeypatch):
+        """Accumulation-order pin: the explicit per-inner rank-1 loop."""
+        a, b = order_pin_operands(rng, limbs, complex_data, batch=3)
+        result, launches = count_mul_launches(
+            monkeypatch, lambda: vb.batched_matmul(a, b)
+        )
+        assert_order_pinned(result, a, b, launches, limbs)
 
     def test_dot_norm_outer_bit_identical(self, rng, limbs):
         x = _vectors(6, limbs, rng)

@@ -265,3 +265,120 @@ class TestAccumulateChain:
             result = fused.mul(x, y)
             reference = np.stack(mdgeneric.mul(tuple(x), tuple(y), limbs))
         assert_limbwise_identical(result, reference)
+
+
+# ---------------------------------------------------------------------------
+# one-element launches on host floats
+# ---------------------------------------------------------------------------
+# When every operand has a 0-d element shape, the fused backend runs the
+# repro.md.generic kernel on the limbs as Python floats, falling back to
+# the array kernel where a Python float op raises or a limb is not
+# finite.  Compared by tobytes(), so the sign of zero counts.
+
+#: leading-limb values: regular, signed zeros, infinities, NaN,
+#: subnormals, and a magnitude whose Veltkamp split overflows
+SPECIALS = [None, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e308]
+
+#: (name, generic-backend method arity)
+ONE_ELEMENT_OPS = [
+    ("add", 2), ("sub", 2), ("mul", 2), ("div", 2),
+    ("sqr", 1), ("fma", 3), ("sqrt", 1),
+]
+
+
+def one_element(rng, limbs, lead=None, whole=False):
+    """A 0-d limb stack; ``lead`` replaces the leading limb (or, with
+    ``whole``, every limb) by a special value."""
+    data = sample(rng, limbs, ())
+    if lead is not None:
+        if whole:
+            data[:] = lead
+        else:
+            data[0] = lead
+    return data
+
+
+def assert_same_bytes(result, reference):
+    """Byte equality; a NaN limb need only be NaN in both (IEEE leaves
+    the sign and payload of a NaN result unspecified, and the array
+    kernel's NaN signs already differ from the generic kernel's)."""
+    __tracebackhide__ = True
+    assert result.shape == reference.shape
+    assert result.dtype == reference.dtype
+    nan = np.isnan(reference)
+    if nan.any():
+        assert np.array_equal(np.isnan(result), nan)
+        result, reference = result[~nan], reference[~nan]
+    assert result.tobytes() == reference.tobytes()
+
+
+class TestOneElementLaunch:
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("op,arity", ONE_ELEMENT_OPS, ids=[o for o, _ in ONE_ELEMENT_OPS])
+    def test_special_values(self, generic, fused, rng, op, arity, m):
+        with np.errstate(all="ignore"):
+            for lead in SPECIALS:
+                for whole in (False, True):
+                    for slot in range(arity):
+                        operands = [one_element(rng, m) for _ in range(arity)]
+                        operands[slot] = one_element(rng, m, lead, whole)
+                        if op == "sqrt" and lead is None:
+                            operands[0] = np.abs(operands[0])
+                        assert_same_bytes(
+                            getattr(fused, op)(*operands),
+                            getattr(generic, op)(*operands),
+                        )
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("op,arity", ONE_ELEMENT_OPS, ids=[o for o, _ in ONE_ELEMENT_OPS])
+    def test_mixed_limb_counts(self, generic, fused, rng, op, arity, m):
+        """Operand limb counts other than ``m`` (truncation, padding and,
+        for ``fma``, the ``m + 1`` product when ``len(x) >= m``)."""
+        for counts in ((m + 1,) * arity, (max(1, m - 1),) * arity, (m, m + 2, m)[:arity]):
+            operands = [np.abs(one_element(rng, n)) for n in counts]
+            assert_same_bytes(
+                getattr(fused, op)(*operands, m=m),
+                getattr(generic, op)(*operands, m=m),
+            )
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_runs_on_host_floats(self, rng, m):
+        """A finite one-element launch never touches the scratch arena."""
+        fused = FusedBackend()
+        x, y = one_element(rng, m), one_element(rng, m)
+        fused.div(x, y)
+        fused.sqrt(np.abs(x))
+        fused.fma(x, y, x)
+        assert fused.arena.stats["bundles"] == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_zero_divisor_and_negative_sqrt(self, generic, rng, m):
+        """Python floats raise here; the launch must not, and must return
+        the array kernel's IEEE inf / NaN."""
+        fused = FusedBackend()
+        x = one_element(rng, m)
+        for divisor in (0.0, -0.0):
+            zero = one_element(rng, m, divisor, whole=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                result = fused.div(x, zero)
+                assert_same_bytes(result, generic.div(x, zero))
+            assert not np.isfinite(result[0])
+        negative = -np.abs(x)
+        with np.errstate(invalid="ignore"):
+            result = fused.sqrt(negative)
+            assert_same_bytes(result, generic.sqrt(negative))
+        assert np.isnan(result).all()
+        assert fused.arena.stats["bundles"] > 0  # the array kernel ran
+
+    def test_fallback_keeps_numpy_error_handling(self, rng):
+        fused = FusedBackend()
+        x = one_element(rng, 2)
+        zero = one_element(rng, 2, 0.0, whole=True)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            fused.div(x, zero)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            fused.mul(one_element(rng, 2, 1e308), x)
+        # a zero leading limb makes the host-float sqrt return zeros at
+        # once, but the array kernel meets the infinite tail limb
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            fused.sqrt(np.array([0.0, np.inf]))

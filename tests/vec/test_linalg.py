@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from repro.exec import get_backend
+from repro.exec.arena import BUNDLE_BUDGET_BYTES
 from repro.md import MultiDouble
 from repro.vec import MDArray, MDComplexArray, linalg
 from repro.vec import random as mdrandom
@@ -85,6 +88,115 @@ class TestMatmul:
             linalg.matmul(MDArray.zeros((2, 3), 2), MDArray.zeros((2, 3), 2))
         with pytest.raises(ValueError):
             linalg.matmul(MDArray.zeros((3,), 2), MDArray.zeros((3, 3), 2))
+
+
+# ---------------------------------------------------------------------------
+# accumulation-order pin: matmul is the explicit per-inner rank-1 loop
+# ---------------------------------------------------------------------------
+# The products of a chunk of inner indices come from one launch; the
+# sum must still start from an explicit zero array and add the products
+# in inner order.  The chunk is bounded by the scratch arena's bundle
+# budget, so the operands below are sized from that budget to make a
+# short inner dimension span several chunks.
+
+ORDER_PIN_INNER = 7
+
+
+def order_pin_operands(rng, m, complex_data, batch=None):
+    """``a`` (``[batch,] n, k``) and ``b`` (``[batch,] k, n``) with ``n``
+    chosen so a chunk of the product grid holds only a few inner indices.
+
+    Row 0 of ``a`` is ``-0.0``.  In real data, entry ``(1, 1)`` of the
+    product has an overlapping (non-renormalized) first double double
+    product whose tail is a half-ulp tie, followed by subnormal products
+    ``-1 * 5e-324``: ``0 + p_0`` renormalizes the tie, so at dd a sum
+    that skipped the zero start ends in another last limb.
+    """
+    lead = () if batch is None else (batch,)
+    planes = 4 if complex_data else 1
+    per_entry = 8 * m * m * planes * math.prod(lead)
+    n = math.isqrt(BUNDLE_BUDGET_BYTES // (per_entry * 3)) + 1
+    k = ORDER_PIN_INNER
+    scale = (2.0 ** (-53 * np.arange(m))).reshape((m,) + (1,) * (len(lead) + 2))
+    pair = (2,) + (1,) * len(lead)
+
+    def real_pair():
+        a = rng.standard_normal((m, *lead, n, k)) * scale
+        b = rng.standard_normal((m, *lead, k, n)) * scale
+        a[:, ..., 0, :] = -0.0
+        a[:, ..., 1, :] = 0.0
+        a[0, ..., 1, :] = -1.0
+        b[:, ..., :, 1] = 0.0
+        b[0, ..., :, 1] = 5e-324
+        if m >= 2:
+            a[:2, ..., 1, 0] = np.array([-2.0, -1.0]).reshape(pair)
+            b[:2, ..., 0, 1] = np.array([1e-17, 1e-17]).reshape(pair)
+        return MDArray(a), MDArray(b)
+
+    a, b = real_pair()
+    if complex_data:
+        a_im, b_im = real_pair()
+        return MDComplexArray(a, a_im), MDComplexArray(b, b_im)
+    return a, b
+
+
+def rank1_loop(a, b, zero_start=True, order=None):
+    """The reference: one ``col * row`` product and one add per inner
+    index, from an explicit zero array (or from the first product)."""
+    k = a.shape[-1]
+    lead = a.shape[:-1]
+    kind = MDComplexArray if isinstance(a, MDComplexArray) else MDArray
+    result = kind.zeros((*lead, b.shape[-1]), a.limbs) if zero_start else None
+    for t in order or range(k):
+        term = a[..., t : t + 1] * b[..., t : t + 1, :]
+        result = term if result is None else result + term
+    return result
+
+
+def limb_bytes(array):
+    if isinstance(array, MDComplexArray):
+        return array.real.data.tobytes() + array.imag.data.tobytes()
+    return array.data.tobytes()
+
+
+def count_mul_launches(monkeypatch, product):
+    """Run ``product()`` and return its result and its number of limb
+    multiplication launches."""
+    backend = get_backend()
+    calls = []
+    original = backend.mul
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "mul", counting)
+    result = product()
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+def assert_order_pinned(result, a, b, launches, m):
+    __tracebackhide__ = True
+    # the inner dimension spans several chunks, some of them multi-index
+    assert 3 <= launches < ORDER_PIN_INNER
+    assert limb_bytes(result) == limb_bytes(rank1_loop(a, b))
+    # the pin has teeth: another order differs, and so does skipping
+    # the zero start on real dd data, where entry (1, 1) is built to
+    # show it (a zero product's leading limb is +0.0 at every precision,
+    # so the -0.0 row alone cannot)
+    reversed_order = range(ORDER_PIN_INNER - 1, -1, -1)
+    assert limb_bytes(result) != limb_bytes(rank1_loop(a, b, order=reversed_order))
+    if m == 2 and isinstance(a, MDArray):
+        assert limb_bytes(result) != limb_bytes(rank1_loop(a, b, zero_start=False))
+
+
+class TestMatmulOrder:
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_matches_rank1_loop(self, rng, limbs, complex_data, monkeypatch):
+        a, b = order_pin_operands(rng, limbs, complex_data)
+        result, launches = count_mul_launches(monkeypatch, lambda: linalg.matmul(a, b))
+        assert_order_pinned(result, a, b, launches, limbs)
 
 
 class TestVectorOps:
